@@ -15,12 +15,18 @@ alleviated by compacting part or all of the RAM cache from time to
 time") is functional, not cosmetic.
 
 Eviction is LRU by the rnodes' age field; FIFO is available as the A3
-ablation.
+ablation. Both policies keep the rnodes in one eviction-order structure
+(oldest first), so choosing a victim skips only the busy or pinned
+files at its head instead of scanning every rnode. Ticks are unique and
+increasing, so the first evictable rnode in that order is exactly the
+one with the smallest age (LRU) or insertion tick (FIFO).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional
 
 from ..errors import (
@@ -44,7 +50,6 @@ class Rnode:
     addr: int           # offset of the file in the cache arena
     size: int           # file size in bytes
     age: int            # last-access tick (LRU)
-    inserted: int       # insertion tick (FIFO ablation)
     data: bytes         # the file contents (whole and contiguous)
     busy: bool = False  # mid-load (reserve/fill window); not evictable
     pins: int = 0       # concurrent transfers copying out of the arena
@@ -108,6 +113,9 @@ class BulletCache:
         # while the caller holds the file's lock in the server's table.
         self._rnodes: dict[int, Rnode] = {}     # repro: guarded_by(locks)
         self._by_inode: dict[int, Rnode] = {}   # repro: guarded_by(locks)
+        # Every live rnode by number, oldest first: least recently
+        # touched under LRU, least recently inserted under FIFO.
+        self._order: OrderedDict[int, Rnode] = OrderedDict()   # repro: guarded_by(locks)
         self._free_slots = list(range(rnode_count, 0, -1))
         self._tick = 0
 
@@ -186,6 +194,8 @@ class BulletCache:
         """Update the age field to mark a recent access."""
         self._tick += 1
         rnode.age = self._tick
+        if self.policy == "lru" and self._order.get(rnode.number) is rnode:
+            self._order.move_to_end(rnode.number)
 
     def pin(self, rnode: Rnode) -> None:
         """Hold the rnode's arena extent across a timed transfer: a
@@ -227,10 +237,10 @@ class BulletCache:
             addr=addr,
             size=size,
             age=self._tick,
-            inserted=self._tick,
             data=bytes(data),
         )
         self._rnodes[rnode.number] = rnode
+        self._order[rnode.number] = rnode
         self._by_inode[inode_number] = rnode
         self.stats.inserted_bytes += size
         return rnode
@@ -243,12 +253,16 @@ class BulletCache:
         disk read — the paper's read-miss path: "an rnode is allocated
         for this file ... Then the file can be read into the RAM cache."
         """
-        rnode = self.insert(inode_number, bytes(0))
+        # Refuse an oversize file before taking a slot: taking one may
+        # evict a valid file.
         if size > self.capacity:
-            self._release(rnode)
             raise FileTooBigError(
                 f"file of {size} bytes exceeds the {self.capacity}-byte cache"
             )
+        rnode = self.insert(inode_number, bytes(0))
+        # Busy before making room, or the eviction it may need could
+        # pick this very placeholder.
+        rnode.busy = True
         if size > 0:
             try:
                 addr = self._make_room(size)
@@ -257,7 +271,6 @@ class BulletCache:
                 raise
             rnode.addr = addr
             rnode.size = size
-        rnode.busy = True
         return rnode
 
     def fill(self, rnode: Rnode, data: bytes) -> None:
@@ -288,6 +301,7 @@ class BulletCache:
                 f"have it pinned"
             )
         del self._rnodes[rnode.number]
+        del self._order[rnode.number]
         self._by_inode.pop(rnode.inode_number, None)
         if rnode.size > 0:
             self._arena.free(rnode.addr, rnode.size)
@@ -311,16 +325,14 @@ class BulletCache:
                     raise
 
     def _evict_one(self) -> bool:
-        """Evict the least desirable non-busy file; False if none."""
-        candidates = [
-            r for r in self._rnodes.values() if not r.busy and r.pins == 0
-        ]
-        if not candidates:
-            return False
-        if self.policy == "lru":
-            victim = min(candidates, key=lambda r: r.age)
+        """Evict the oldest file that is neither busy nor pinned; False
+        if none. Only in-flight files (at most one per worker) are
+        skipped."""
+        for victim in self._order.values():
+            if not victim.busy and victim.pins == 0:
+                break
         else:
-            victim = min(candidates, key=lambda r: r.inserted)
+            return False
         self._release(victim)
         self.stats.evictions += 1
         self.stats.evicted_bytes += victim.size
@@ -331,21 +343,22 @@ class BulletCache:
     def compact(self) -> int:
         """Slide every cached file toward address zero, coalescing all
         free space into one hole. Returns the number of files moved."""
-        rnodes = sorted(
-            (r for r in self._rnodes.values() if r.size > 0),
-            key=lambda r: r.addr,
-        )
-        gauges = self._arena.detach_gauges()
-        self._arena = ExtentFreeList(0, self.capacity, strategy="first_fit")
-        self._arena.attach_gauges(*gauges)
         moved = 0
         cursor = 0
-        for rnode in rnodes:
+        for rnode in sorted(self._rnodes.values(), key=attrgetter("addr")):
+            if rnode.size == 0:
+                continue  # occupies no arena space
             if rnode.addr != cursor:
                 rnode.addr = cursor
                 moved += 1
-            self._arena.allocate_at(cursor, rnode.size)
             cursor += rnode.size
+        # The files now fill [0, cursor): the new arena is one hole
+        # [cursor, capacity), claimed with one allocation.
+        gauges = self._arena.detach_gauges()
+        self._arena = ExtentFreeList(0, self.capacity, strategy="first_fit")
+        if cursor:
+            self._arena.allocate_at(0, cursor)
+        self._arena.attach_gauges(*gauges)
         self.stats.compactions += 1
         return moved
 
@@ -378,3 +391,12 @@ class BulletCache:
                 raise ConsistencyError("by-inode map inconsistent")
             if self._rnodes.get(rnode.number) is not rnode:
                 raise ConsistencyError("rnode slot map inconsistent")
+        if len(self._order) != len(self._rnodes) or any(
+                self._rnodes.get(n) is not r for n, r in self._order.items()):
+            raise ConsistencyError(
+                "eviction order does not hold exactly the live rnodes")
+        if self.policy == "lru":
+            ages = [r.age for r in self._order.values()]
+            if any(a >= b for a, b in zip(ages, ages[1:])):
+                raise ConsistencyError(
+                    "LRU order out of step with the rnodes' ages")

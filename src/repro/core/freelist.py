@@ -58,6 +58,9 @@ class ExtentFreeList:
         # the owning server's table (or before service starts).
         self._starts: list[int] = [area_start] if area_size else []    # repro: guarded_by(locks)
         self._lengths: list[int] = [area_size] if area_size else []    # repro: guarded_by(locks)
+        # Running sum of ``_lengths``, kept by allocate/allocate_at/free
+        # so the total never costs a pass over the holes.
+        self._free: int = area_size    # repro: guarded_by(locks)
         # Observability gauges (repro.obs), published after every
         # mutation once attached.
         self._gauges: Optional[tuple] = None
@@ -67,7 +70,7 @@ class ExtentFreeList:
     @property
     def free_units(self) -> int:
         """Total free units."""
-        return sum(self._lengths)
+        return self._free
 
     @property
     def used_units(self) -> int:
@@ -88,10 +91,12 @@ class ExtentFreeList:
     def external_fragmentation(self) -> float:
         """1 - largest_hole/free: 0 when all free space is one hole,
         approaching 1 when free space is unusable for large requests."""
-        free = self.free_units
-        if free == 0:
+        return self._fragmentation(self.largest_hole)
+
+    def _fragmentation(self, largest: int) -> float:
+        if self._free == 0:
             return 0.0
-        return 1.0 - self.largest_hole / free
+        return 1.0 - largest / self._free
 
     # ------------------------------------------------------ observability
 
@@ -113,12 +118,13 @@ class ExtentFreeList:
         if self._gauges is None:
             return
         fragmentation, free_units, largest_hole = self._gauges
+        largest = self.largest_hole
         if fragmentation is not None:
-            fragmentation.set(self.external_fragmentation())
+            fragmentation.set(self._fragmentation(largest))
         if free_units is not None:
-            free_units.set(self.free_units)
+            free_units.set(self._free)
         if largest_hole is not None:
-            largest_hole.set(self.largest_hole)
+            largest_hole.set(largest)
 
     def is_free(self, start: int, length: int) -> bool:
         """True when [start, start+length) lies entirely inside a hole."""
@@ -158,6 +164,7 @@ class ExtentFreeList:
         else:
             self._starts[index] += length
             self._lengths[index] -= length
+        self._free -= length
         self._publish()
         return start
 
@@ -186,6 +193,7 @@ class ExtentFreeList:
         if left_len > 0:
             self._starts.insert(i, hole_start)
             self._lengths.insert(i, left_len)
+        self._free -= length
         self._publish()
 
     def free(self, start: int, length: int) -> None:
@@ -221,6 +229,7 @@ class ExtentFreeList:
         else:
             self._starts.insert(i, start)
             self._lengths.insert(i, length)
+        self._free += length
         self._publish()
 
     def _pick_hole(self, length: int) -> Optional[int]:
@@ -239,7 +248,13 @@ class ExtentFreeList:
 
     def check_invariants(self) -> None:
         """Raise :class:`ConsistencyError` if the structure is corrupt:
-        holes must be sorted, in-bounds, non-overlapping, and coalesced."""
+        holes must be sorted, in-bounds, non-overlapping, and coalesced,
+        and the running free total must equal their summed lengths."""
+        if self._free != sum(self._lengths):
+            raise ConsistencyError(
+                f"free total {self._free} != {sum(self._lengths)} units "
+                f"in the holes"
+            )
         prev_end: Optional[int] = None
         for start, length in zip(self._starts, self._lengths):
             if length <= 0:

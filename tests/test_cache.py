@@ -205,6 +205,37 @@ def test_reserve_too_big_rolls_back():
     cache.check_invariants()
 
 
+def test_reserve_too_big_evicts_nothing():
+    """An oversize reserve is refused before it takes an rnode slot, so
+    a full slot table does not cost a valid file its cache entry."""
+    evicted = []
+    cache = make_cache(capacity=1000, rnodes=2, on_evict=evicted.append)
+    cache.insert(1, b"a")
+    cache.insert(2, b"b")
+    with pytest.raises(FileTooBigError):
+        cache.reserve(3, 5000)
+    assert evicted == []
+    assert cache.stats.evictions == 0
+    assert cache.peek(1) is not None and cache.peek(2) is not None
+    cache.check_invariants()
+
+
+def test_reserve_without_room_does_not_evict_its_own_placeholder():
+    """When only the reserving file could go, reserve fails with
+    NoSpaceError and leaves the cache as it was (the placeholder rnode
+    used to be its own eviction victim, and the rollback then crashed
+    on the already-released slot)."""
+    evicted = []
+    cache = make_cache(capacity=100, on_evict=evicted.append)
+    cache.reserve(1, 90)  # in flight: busy, not evictable
+    with pytest.raises(NoSpaceError):
+        cache.reserve(2, 20)
+    assert evicted == []
+    assert cache.peek(2) is None
+    assert cache.cached_files == 1
+    cache.check_invariants()
+
+
 def test_reserve_evicts_like_insert():
     cache = make_cache(capacity=100)
     cache.insert(1, bytes(80))

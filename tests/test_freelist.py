@@ -168,6 +168,15 @@ def test_stats_track_usage():
     assert fl.largest_hole == 75
 
 
+def test_audit_catches_a_drifted_free_total():
+    fl = ExtentFreeList(0, 100)
+    fl.allocate(25)
+    fl.check_invariants()
+    fl._free += 1   # the running total no longer matches the holes
+    with pytest.raises(ConsistencyError, match="free total"):
+        fl.check_invariants()
+
+
 # ----------------------------------------------------- property testing
 
 
