@@ -75,6 +75,21 @@ OPCODES = {
 _OPNAMES = {number: name for name, number in OPCODES.items()}
 
 
+def _int_args(opname: str, args, names: tuple, nullable: tuple = ()) -> tuple:
+    """Validate a request's argument tuple before the handler sees it:
+    exactly one integer per name (``None`` allowed for ``nullable``
+    names). A malformed request must become a BAD_REQUEST reply, not an
+    unpacking error that kills the worker."""
+    if not isinstance(args, (tuple, list)) or len(args) != len(names):
+        raise BadRequestError(
+            f"{opname} takes {len(names)} argument(s) {names}, got {args!r}")
+    for name, value in zip(names, args):
+        if not (isinstance(value, int) or (value is None and name in nullable)):
+            raise BadRequestError(
+                f"{opname} argument {name} must be an integer, got {value!r}")
+    return tuple(args)
+
+
 class VerifiedCapCache:
     """The bounded verified-capability cache.
 
@@ -796,7 +811,8 @@ class BulletServer:
     def _dispatch(self, req: RpcRequest):
         op = req.opcode
         if op == OPCODES["CREATE"]:
-            p_factor = req.args[0] if req.args else None
+            (p_factor,) = _int_args("CREATE", req.args or (None,),
+                                    ("p_factor",), nullable=("p_factor",))
             cap = yield from self.create(req.body, p_factor)
             return RpcReply(caps=(cap,))
         if req.cap is None:
@@ -811,7 +827,9 @@ class BulletServer:
             yield from self.delete(req.cap)
             return RpcReply()
         if op == OPCODES["MODIFY"]:
-            offset, delete_bytes, p_factor = req.args
+            offset, delete_bytes, p_factor = _int_args(
+                "MODIFY", req.args, ("offset", "delete_bytes", "p_factor"),
+                nullable=("p_factor",))
             cap = yield from self.modify(req.cap, offset, delete_bytes,
                                          req.body, p_factor)
             return RpcReply(caps=(cap,))
@@ -820,7 +838,7 @@ class BulletServer:
             status = self.status()
             return RpcReply(args=(status,))
         if op == OPCODES["RESTRICT"]:
-            mask = req.args[0]
+            (mask,) = _int_args("RESTRICT", req.args, ("mask",))
             cap = yield from self.restrict_cap(req.cap, mask)
             return RpcReply(caps=(cap,))
         raise BadRequestError(f"unknown opcode {op}")

@@ -1,8 +1,11 @@
 """The virtual disk: a block device with realistic timing.
 
-Functionally it is a sparse block store (only written blocks consume
-host memory). Temporally it is a single arm served by a scheduling
-discipline: each access costs seek + rotation + transfer according to
+Functionally it is a sparse block store: only written blocks are
+indexed, and each write keeps one reference to its payload, which all
+the blocks it covers share (a ``bytes`` payload is not copied, so
+mirrored replicas share one copy of a file). Temporally it is a single
+arm served by a scheduling discipline: each access costs seek +
+rotation + transfer according to
 :class:`~repro.disk.geometry.DiskGeometry`, and concurrent requests
 queue.
 
@@ -81,7 +84,9 @@ class VirtualDisk:
         self._c_busy_time = self.stats.handle("busy_time")
         self._c_seeks = self.stats.handle("seeks")
         self._tracer = tracer
-        self._blocks: dict[int, bytes] = {}
+        # Block number -> (payload, first block) of the write that last
+        # covered it; every block of one write shares one record.
+        self._blocks: dict[int, tuple[bytes, int]] = {}
         self._queue = make_queue(discipline)
         self._wakeups: Store = Store(env)
         self._current_cylinder = 0
@@ -369,24 +374,45 @@ class VirtualDisk:
         """Instant, cost-free read (setup/recovery plane)."""
         self.geometry._check_extent(start_block, nblocks)
         bs = self.block_size
+        blocks = self._blocks
+        end = start_block + nblocks
+        record = blocks.get(start_block)
+        if record is not None and all(
+                blocks.get(b) is record for b in range(start_block + 1, end)):
+            # The whole range is one write's payload: one slice.
+            payload, first = record
+            offset = (start_block - first) * bs
+            chunk = payload[offset:offset + nblocks * bs]
+            return chunk + bytes(nblocks * bs - len(chunk))
         empty = bytes(bs)
-        return b"".join(
-            self._blocks.get(start_block + i, empty) for i in range(nblocks)
-        )
+        parts = []
+        for b in range(start_block, end):
+            record = blocks.get(b)
+            if record is None:
+                parts.append(empty)
+                continue
+            payload, first = record
+            offset = (b - first) * bs
+            chunk = payload[offset:offset + bs]
+            parts.append(chunk + bytes(bs - len(chunk)))
+        return b"".join(parts)
 
     def write_raw(self, start_block: int, data: bytes) -> None:
-        """Instant, cost-free write (setup/recovery plane)."""
+        """Instant, cost-free write (setup/recovery plane). A ``bytes``
+        payload is kept by reference, not copied."""
         nblocks = self._blocks_for(len(data))
         self.geometry._check_extent(start_block, nblocks)
-        bs = self.block_size
-        for i in range(nblocks):
-            chunk = data[i * bs:(i + 1) * bs]
-            if len(chunk) < bs:
-                chunk = chunk + bytes(bs - len(chunk))
-            self._blocks[start_block + i] = bytes(chunk)
+        if type(data) is not bytes:
+            data = bytes(data)  # the caller may mutate its buffer later
+        record = (data, start_block)
+        blocks = self._blocks
+        for b in range(start_block, start_block + nblocks):
+            blocks[b] = record
 
     def used_host_bytes(self) -> int:
-        """Host memory consumed by the sparse store (for tests)."""
+        """Block-equivalent footprint of the sparse store: written blocks
+        times the block size (payloads are shared, so actual host memory
+        may be less)."""
         return len(self._blocks) * self.block_size
 
     # ------------------------------------------------------------ helpers

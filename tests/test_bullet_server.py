@@ -12,7 +12,8 @@ from repro.capability import (
     RIGHT_READ,
     restrict,
 )
-from repro.core import BulletServer, scan_volume
+from repro.client import BulletClient
+from repro.core import OPCODES, BulletServer, scan_volume
 from repro.errors import (
     BadRequestError,
     CapabilityError,
@@ -22,7 +23,10 @@ from repro.errors import (
     NotFoundError,
     RightsError,
     ServerDownError,
+    Status,
 )
+from repro.net import Ethernet, RpcRequest, RpcTransport
+from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import Environment, run_process
 from repro.units import KB, MB
 
@@ -467,3 +471,32 @@ def test_operations_require_boot(env):
     server = BulletServer(env, MirroredDiskSet(env, disks), testbed)
     with pytest.raises(BadRequestError):
         call(env, server.create(b"x", p_factor=0))
+
+
+# ------------------------------------------------- malformed requests
+
+
+def test_malformed_requests_get_bad_request_and_the_worker_survives(env):
+    """A wrong-arity or wrong-type argument tuple used to escape
+    ``_dispatch`` as a ValueError/IndexError/TypeError, killing the only
+    worker so every later request timed out."""
+    rpc = RpcTransport(env, Ethernet(env, EthernetProfile()), CpuProfile())
+    bullet = make_bullet(env, transport=rpc, workers=1)
+    client = BulletClient(env, rpc, bullet.port)
+    cap = run_process(env, client.create(b"survivor", 1))
+    stats = bullet.stats.snapshot()
+    malformed = [
+        RpcRequest(opcode=OPCODES["MODIFY"], cap=cap, args=()),
+        RpcRequest(opcode=OPCODES["RESTRICT"], cap=cap, args=()),
+        RpcRequest(opcode=OPCODES["CREATE"], args=("x",), body=b"new"),
+    ]
+    for sent, request in enumerate(malformed, start=1):
+        reply = run_process(env, rpc.trans(bullet.port, request))
+        assert reply.status == int(Status.BAD_REQUEST)
+        assert bullet.metrics.value("repro_server_error_replies_total",
+                                    server="bullet",
+                                    status="BAD_REQUEST") == sent
+        assert run_process(env, client.read(cap)) == b"survivor"
+    after = bullet.stats.snapshot()
+    for field in ("creates", "modifies", "restricts"):
+        assert after[field] == stats[field]
